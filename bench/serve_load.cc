@@ -5,7 +5,7 @@
  *
  * Topology: --nodes in-process dcgserved shards on a shared ring with
  * --workers simulation workers each. --connections independent load
- * generators each hold --inflight protocol-v4 submit+wait frames
+ * generators each hold --inflight submit+wait frames
  * pipelined on ONE persistent PeerLink to an entry node (entry nodes
  * round-robin over the ring), so with nodes > 1 a steady fraction of
  * the jobs is forwarded shard-to-shard over the server-side

@@ -79,8 +79,17 @@ class Parser
         if (pos >= s.size())
             return fail("unexpected end of input");
         switch (s[pos]) {
-          case '{': return parseObject(out);
-          case '[': return parseArray(out);
+          case '{':
+          case '[': {
+              if (depth == kMaxJsonDepth)
+                  return fail("nesting deeper than " +
+                              std::to_string(kMaxJsonDepth) + " levels");
+              ++depth;
+              const bool ok =
+                  s[pos] == '{' ? parseObject(out) : parseArray(out);
+              --depth;
+              return ok;
+          }
           case '"': {
               std::string str;
               if (!parseString(str))
@@ -257,6 +266,7 @@ class Parser
     const std::string &s;
     std::string &error;
     std::size_t pos = 0;
+    std::size_t depth = 0;  ///< open arrays/objects around pos
 };
 
 } // namespace

@@ -21,12 +21,21 @@
 #ifndef DCG_SERVE_JSON_HH
 #define DCG_SERVE_JSON_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
 
 namespace dcg::serve {
+
+/**
+ * Deepest array/object nesting parse() accepts. The parser recurses
+ * once per level, so an unbounded depth would let one line of '['
+ * overflow the stack; every frame this project writes nests fewer
+ * than ten levels.
+ */
+constexpr std::size_t kMaxJsonDepth = 64;
 
 class JsonValue
 {
@@ -93,7 +102,8 @@ class JsonValue
     /**
      * Parse @p text into @p out. Returns false (and sets @p err to a
      * one-line description) on malformed input; never terminates.
-     * Trailing non-whitespace after the value is an error.
+     * Trailing non-whitespace after the value is an error, and so is
+     * nesting deeper than kMaxJsonDepth.
      */
     static bool parse(const std::string &text, JsonValue &out,
                       std::string &err);

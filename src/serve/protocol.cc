@@ -245,7 +245,7 @@ requestVersion(const JsonValue &req, unsigned &version,
                std::string &err)
 {
     if (!req.has("version")) {
-        version = 1;  // pre-versioning client
+        version = kProtocolVersion;
         return true;
     }
     const JsonValue &v = req.get("version");
@@ -265,21 +265,14 @@ stampVersion(JsonValue &resp, unsigned version)
              JsonValue::integer(std::uint64_t{version}));
 }
 
-void
-echoRid(const JsonValue &req, JsonValue &resp)
-{
-    if (req.has("rid"))
-        resp.set("rid", req.get("rid"));
-}
-
 JsonValue
 unsupportedVersionResponse(unsigned requested)
 {
     JsonValue o = errorResponse(
         "unsupported_version",
         "requested protocol version " + std::to_string(requested) +
-            "; this server speaks up to " +
-            std::to_string(kProtocolVersion));
+            "; this server speaks version " +
+            std::to_string(kProtocolVersion) + " only");
     o.set("supported",
           JsonValue::integer(std::uint64_t{kProtocolVersion}));
     return o;
@@ -288,10 +281,8 @@ unsupportedVersionResponse(unsigned requested)
 JsonValue
 notOwnerResponse(const std::string &ownerAddress)
 {
-    JsonValue o = errorResponse(
-        "not_owner", "job key is owned by " + ownerAddress);
-    o.set("redirect", JsonValue::string(ownerAddress));
-    return o;
+    return errorResponse("not_owner",
+                         "job key is owned by " + ownerAddress);
 }
 
 JsonValue
@@ -315,18 +306,14 @@ fetchRequest(const std::string &key)
     return o;
 }
 
-namespace {
-
 JsonValue
-memberArray(const std::vector<std::string> &members)
+memberListJson(const std::vector<std::string> &members)
 {
     JsonValue arr = JsonValue::array();
     for (const std::string &m : members)
         arr.push(JsonValue::string(m));
     return arr;
 }
-
-} // namespace
 
 JsonValue
 epochRequest(std::uint64_t epoch,
@@ -338,9 +325,9 @@ epochRequest(std::uint64_t epoch,
     JsonValue o = JsonValue::object();
     o.set("op", JsonValue::string("epoch"));
     o.set("epoch", JsonValue::integer(epoch));
-    o.set("members", memberArray(members));
+    o.set("members", memberListJson(members));
     o.set("prev_epoch", JsonValue::integer(prevEpoch));
-    o.set("prev_members", memberArray(prevMembers));
+    o.set("prev_members", memberListJson(prevMembers));
     o.set("replicas", JsonValue::integer(std::uint64_t{replicas}));
     stampVersion(o, kProtocolVersion);
     return o;
@@ -353,18 +340,7 @@ staleEpochResponse(std::uint64_t epoch,
     JsonValue o = errorResponse(
         "stale_epoch", "this node is already on a newer ring epoch");
     o.set("epoch", JsonValue::integer(epoch));
-    o.set("members", memberArray(members));
-    return o;
-}
-
-JsonValue
-versionTooLowResponse(const std::string &op, unsigned minVersion)
-{
-    JsonValue o = errorResponse(
-        "version_too_low", "op '" + op + "' needs protocol version " +
-                               std::to_string(minVersion) + " or newer");
-    o.set("min_version",
-          JsonValue::integer(std::uint64_t{minVersion}));
+    o.set("members", memberListJson(members));
     return o;
 }
 

@@ -29,21 +29,20 @@
  * through to the local store: replica records are ordinary records
  * there, budgeted and compacted exactly once.
  *
- * Elastic membership (protocol v5): once the server installs epoch
- * views via setEpochViews(), routing switches from the fixed
- * construction-time ring to the current EpochView, and the read path
- * gains a *handoff* leg — on a local miss, after the current epoch's
- * sibling holders, the *previous* epoch's holders are asked too
- * (counted separately as handoff fetches). That leg is what lets a
- * node serve an arc it just inherited before the background rebalance
- * push has landed the record, which in turn is what makes a live
- * join/leave lose zero work. Holder indices in a view are node-table
- * indices — the same index space the transport is addressed by.
+ * Routing follows the epoch views the server installs with
+ * setEpochViews(): the current EpochView names a key's holders, and
+ * the read path has a *handoff* leg — on a local miss, after the
+ * current epoch's sibling holders, the *previous* epoch's holders are
+ * asked too (counted separately as handoff fetches). That leg is what
+ * lets a node serve an arc it just inherited before the background
+ * rebalance push has landed the record, which in turn is what makes a
+ * live join/leave lose zero work. Holder indices in a view are
+ * node-table indices — the same index space the transport is
+ * addressed by. Until the first setEpochViews() no key has a holder,
+ * so every get() is a plain local lookup and no put() fans out.
  *
- * Peer I/O goes through a PeerTransport seam: the server injects a
- * PoolPeerTransport so pushes and fetches ride the event loop's
- * multiplexed links; standalone uses (unit tests, tools) default to
- * one-shot blocking connections.
+ * Peer I/O goes through the server's PeerTransport, so pushes and
+ * fetches ride the event loop's multiplexed links while it runs.
  *
  * Thread safety: get()/put() may be called from any worker thread;
  * the queue is mutex-guarded and the replicator thread performs all
@@ -67,7 +66,6 @@
 #include <vector>
 
 #include "common/thread_annotations.hh"
-#include "serve/endpoint.hh"
 #include "serve/peerlink.hh"
 #include "serve/ring.hh"
 #include "serve/store.hh"
@@ -79,19 +77,12 @@ class ReplicatedStore : public exp::ResultStoreBase
   public:
     /**
      * @param local      the node's own ResultStore (must outlive this)
-     * @param nodes      the cluster's canonical node list (ring order
-     *                   is derived from it, as the server does)
-     * @param selfIndex  this node's position in @p nodes
-     * @param replicaCount  k; effective factor is min(k, nodes.size())
-     * @param peerTimeoutMs bound on each push/fetch socket operation
-     *                      (0 = unbounded)
-     * @param transport  peer exchange seam; null = one-shot blocking
-     *                   connections (DirectPeerTransport)
+     * @param selfIndex  this node's index in the transport's node table
+     * @param transport  the peer exchange every push and fetch uses
      */
     ReplicatedStore(std::shared_ptr<ResultStore> local,
-                    std::vector<Endpoint> nodes, std::size_t selfIndex,
-                    unsigned replicaCount, unsigned peerTimeoutMs,
-                    std::shared_ptr<PeerTransport> transport = nullptr);
+                    std::size_t selfIndex,
+                    std::shared_ptr<PeerTransport> transport);
     ~ReplicatedStore() override;
 
     ReplicatedStore(const ReplicatedStore &) = delete;
@@ -185,9 +176,6 @@ class ReplicatedStore : public exp::ResultStoreBase
         std::vector<std::size_t> targets;  ///< indices into nodes
     };
 
-    /** The key's holder indices (ring successor order, primary first). */
-    std::vector<std::size_t> holdersFor(const std::string &key) const;
-
     /** Fetch @p key from @p idx; on success repair locally and serve. */
     bool fetchFrom(std::size_t idx, const JsonValue &req,
                    const std::string &key, RunResult &out);
@@ -196,15 +184,11 @@ class ReplicatedStore : public exp::ResultStoreBase
     void pushOne(const Task &t);
 
     std::shared_ptr<ResultStore> local;
-    std::vector<Endpoint> nodes;
     std::size_t selfIdx;
     std::atomic<unsigned> k{1};
-    unsigned timeoutMs;
-    HashRing ring;
     std::shared_ptr<PeerTransport> transport;
 
     mutable std::mutex viewMutex;
-    bool useViews DCG_GUARDED_BY(viewMutex) = false;
     EpochView curView DCG_GUARDED_BY(viewMutex);
     EpochView prevView DCG_GUARDED_BY(viewMutex);
     unsigned viewReps DCG_GUARDED_BY(viewMutex) = 1;

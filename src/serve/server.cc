@@ -37,13 +37,39 @@ constexpr std::size_t kMaxRebalanceInflight = 4;
 constexpr unsigned kMaxForwardOwnerRetries = 200;
 constexpr unsigned kOwnerRetryDelayMs = 50;
 
-JsonValue
-memberListJson(const std::vector<std::string> &members)
+/**
+ * A canonical member list from wire input: a nonempty array of
+ * parseable "host:port" names, none repeated. The ring treats
+ * duplicate names as a fatal construction error, so wire input must
+ * never reach it unchecked. False + @p err (and @p out untouched)
+ * otherwise.
+ */
+bool
+parseMembers(const JsonValue &arr, std::vector<std::string> &out,
+             std::string &err)
 {
-    JsonValue arr = JsonValue::array();
-    for (const std::string &m : members)
-        arr.push(JsonValue::string(m));
-    return arr;
+    if (!arr.isArray() || arr.items().empty()) {
+        err = "member list must be a nonempty array";
+        return false;
+    }
+    std::vector<std::string> members;
+    for (const JsonValue &v : arr.items()) {
+        Endpoint ep;
+        if (!parseEndpoint(v.asString(), ep, err)) {
+            err = "bad member '" + v.asString() + "': " + err;
+            return false;
+        }
+        members.push_back(ep.str());
+    }
+    std::vector<std::string> sorted = members;
+    std::sort(sorted.begin(), sorted.end());
+    if (std::adjacent_find(sorted.begin(), sorted.end()) !=
+        sorted.end()) {
+        err = "duplicate member in member list";
+        return false;
+    }
+    out = std::move(members);
+    return true;
 }
 
 void
@@ -165,10 +191,10 @@ Server::Server(const ServerConfig &config)
         // pass-through): a later live join needs its handoff read
         // path, and the Engine's store pointer cannot be swapped
         // safely once workers run.
-        peerTransport = std::make_shared<DirectPeerTransport>(
-            nodes, cfg.peerTimeoutMs);
-        repl = std::make_shared<ReplicatedStore>(
-            store, nodes, selfIdx, 1, cfg.peerTimeoutMs, peerTransport);
+        peerTransport =
+            std::make_shared<PeerTransport>(nodes, cfg.peerTimeoutMs);
+        repl = std::make_shared<ReplicatedStore>(store, selfIdx,
+                                                 peerTransport);
         repl->setEpochViews(curEp, prevEp, epochReps);
         eng.attachStore(repl);
     }
@@ -221,14 +247,11 @@ Server::configureCluster(const std::vector<Endpoint> &allNodes,
     }
     pool.reset();
     peerTransport.reset();
-    if (clustered) {
-        PeerPool::Options po;
-        po.peerTimeoutMs = cfg.peerTimeoutMs;
-        po.wake = [this] { wake(); };
-        pool = std::make_unique<PeerPool>(nodes, std::move(po));
-        peerTransport = std::make_shared<PoolPeerTransport>(
-            pool.get(), nodes, cfg.peerTimeoutMs);
-    }
+    if (store)
+        peerTransport =
+            std::make_shared<PeerTransport>(nodes, cfg.peerTimeoutMs);
+    if (clustered)
+        ensurePeerInfra();
     if (cfg.replicas > 1 && clustered) {
         if (!store)
             fatal("dcgserved: replication needs a persistent store "
@@ -246,12 +269,8 @@ Server::configureCluster(const std::vector<Endpoint> &allNodes,
         // The replication layer wraps every store-backed node (k=1 is
         // a pass-through): it carries the epoch views the handoff
         // read path needs when the ring resizes live.
-        if (!peerTransport)
-            peerTransport = std::make_shared<DirectPeerTransport>(
-                nodes, cfg.peerTimeoutMs);
-        repl = std::make_shared<ReplicatedStore>(
-            store, nodes, selfIdx, std::max(replFactor, 1u),
-            cfg.peerTimeoutMs, peerTransport);
+        repl = std::make_shared<ReplicatedStore>(store, selfIdx,
+                                                 peerTransport);
         repl->setEpochViews(curEp, prevEp, epochReps);
         eng.attachStore(repl);
     }
@@ -631,74 +650,54 @@ Server::handleLine(Conn &conn, const std::string &line)
     std::string err;
     if (!JsonValue::parse(line, req, err) || !req.isObject()) {
         ++badRequests;
-        JsonValue resp =
-            errorResponse("bad_request",
-                          err.empty() ? "request must be a JSON object"
-                                      : err);
-        stampVersion(resp, 1);
-        conn.out += resp.dump();
-        conn.out += '\n';
+        reply(conn, JsonValue::null(),
+              errorResponse("bad_request",
+                            err.empty() ? "request must be a JSON object"
+                                        : err));
         return;
     }
 
-    // Envelope version: absent = 1 (legacy client); anything newer
-    // than we speak gets the structured rejection.
-    unsigned version = 1;
-    JsonValue early;
-    bool rejected = false;
+    // One envelope version: absent means the current one, anything
+    // else gets the structured rejection.
+    const JsonValue &rid = req.get("rid");
+    unsigned version = kProtocolVersion;
     if (!requestVersion(req, version, err)) {
         ++badRequests;
-        early = errorResponse("bad_request", err);
-        version = 1;
-        rejected = true;
-    } else if (version > kProtocolVersion) {
-        ++badRequests;
-        early = unsupportedVersionResponse(version);
-        rejected = true;
+        reply(conn, rid, errorResponse("bad_request", err));
+        return;
     }
-    if (rejected) {
-        stampVersion(early, version);
-        echoRid(req, early);
-        conn.out += early.dump();
-        conn.out += '\n';
+    if (version != kProtocolVersion) {
+        ++badRequests;
+        reply(conn, rid, unsupportedVersionResponse(version));
         return;
     }
 
     // Registry dispatch: every verb — built-in or future — resolves
     // through the op catalog (serve/ops.hh); there is no verb chain.
     const std::string op = req.get("op").asString();
-    const OpInfo *info = findOp(op);
-    if (!info) {
+    const OpHandler *handler = findOpHandler(op);
+    if (!handler) {
         ++badRequests;
-        JsonValue resp = errorResponse(
-            "bad_request",
-            "unknown op '" + op + "' (expected " + opNamesJoined() +
-                ")");
-        stampVersion(resp, version);
-        echoRid(req, resp);
-        conn.out += resp.dump();
-        conn.out += '\n';
-        return;
-    }
-    // minVersion is enforced only for verbs newer than v4 — the
-    // historic verbs predate versioned requests (see ops.hh).
-    if (info->minVersion > 4 && version < info->minVersion) {
-        ++badRequests;
-        JsonValue resp = versionTooLowResponse(op, info->minVersion);
-        stampVersion(resp, version);
-        echoRid(req, resp);
-        conn.out += resp.dump();
-        conn.out += '\n';
+        reply(conn, rid,
+              errorResponse("bad_request",
+                            "unknown op '" + op + "' (expected " +
+                                opNamesJoined() + ")"));
         return;
     }
 
-    OpCall call{req, version, conn.id, JsonValue(), false};
-    (*findOpHandler(op))(*this, call);
-    if (call.deferred)
-        return;  // the response is parked; written on completion
-    stampVersion(call.resp, version);
-    echoRid(req, call.resp);
-    conn.out += call.resp.dump();
+    OpCall call{req, conn.id, JsonValue(), false};
+    (*handler)(*this, call);
+    if (!call.deferred)  // else parked; written on completion
+        reply(conn, rid, std::move(call.resp));
+}
+
+void
+Server::reply(Conn &conn, const JsonValue &rid, JsonValue resp)
+{
+    stampVersion(resp, kProtocolVersion);
+    if (!rid.isNull())
+        resp.set("rid", rid);
+    conn.out += resp.dump();
     conn.out += '\n';
 }
 
@@ -706,7 +705,7 @@ void
 registerServerOps()
 {
     static const bool once = [] {
-        registerOp({"submit", 1, false,
+        registerOp({"submit", false,
                     "run or fetch simulation jobs (job/jobs/grid)"},
                    [](Server &s, OpCall &c) {
                        c.resp =
@@ -714,58 +713,57 @@ registerServerOps()
                                ? errorResponse(
                                      "draining",
                                      "server is shutting down")
-                               : s.handleSubmit(c.req, c.version,
-                                                c.connId, c.deferred);
+                               : s.handleSubmit(c);
                    });
-        registerOp({"status", 1, false, "poll one job's state"},
+        registerOp({"status", false, "poll one job's state"},
                    [](Server &s, OpCall &c) {
                        c.resp = s.handleStatus(c.req);
                    });
-        registerOp({"result", 1, false,
+        registerOp({"result", false,
                     "fetch (or wait for) one job's result"},
                    [](Server &s, OpCall &c) { s.handleResult(c); });
-        registerOp({"stats", 1, false,
+        registerOp({"stats", false,
                     "service counters and the op catalog"},
                    [](Server &s, OpCall &c) {
                        c.resp = okResponse();
                        c.resp.set("stats", s.statsJson());
                    });
-        registerOp({"shutdown", 1, true, "begin graceful drain"},
+        registerOp({"shutdown", true, "begin graceful drain"},
                    [](Server &s, OpCall &c) {
                        c.resp = okResponse();
                        c.resp.set("status",
                                   JsonValue::string("draining"));
                        s.requestStop();
                    });
-        registerOp({"compact", 2, true,
+        registerOp({"compact", true,
                     "garbage-collect the result store"},
                    [](Server &s, OpCall &c) {
                        c.resp = s.handleCompact();
                    });
         // Accepted even while draining: a late replica or read-repair
         // write is a harmless local put that helps the cluster heal.
-        registerOp({"replicate", 3, false,
+        registerOp({"replicate", false,
                     "store a replica record (peer-to-peer)"},
                    [](Server &s, OpCall &c) {
                        c.resp = s.handleReplicate(c.req);
                    });
-        registerOp({"fetch", 3, false,
+        registerOp({"fetch", false,
                     "serve a stored record to a peer"},
                    [](Server &s, OpCall &c) {
                        c.resp = s.handleFetch(c.req);
                    });
-        registerOp({"join", 5, true,
+        registerOp({"join", true,
                     "add a node to the ring (advances the epoch)"},
                    [](Server &s, OpCall &c) { s.handleJoin(c); });
-        registerOp({"leave", 5, true,
+        registerOp({"leave", true,
                     "remove a node from the ring (advances the epoch)"},
                    [](Server &s, OpCall &c) { s.handleLeave(c); });
-        registerOp({"ring", 5, true,
+        registerOp({"ring", true,
                     "current epoch, members and rebalance state"},
                    [](Server &s, OpCall &c) {
                        c.resp = s.handleRing();
                    });
-        registerOp({"epoch", 5, false,
+        registerOp({"epoch", false,
                     "peer-to-peer epoch announcement"},
                    [](Server &s, OpCall &c) { s.handleEpoch(c); });
         return true;
@@ -774,10 +772,9 @@ registerServerOps()
 }
 
 JsonValue
-Server::handleSubmit(const JsonValue &req, unsigned version,
-                     std::uint64_t connId, bool &deferred)
+Server::handleSubmit(OpCall &c)
 {
-    deferred = false;
+    const JsonValue &req = c.req;
     std::vector<JobSpec> specs;
     std::string err;
     if (req.has("job")) {
@@ -820,11 +817,8 @@ Server::handleSubmit(const JsonValue &req, unsigned version,
 
     // Ring ownership per job. A forwarded submit for a key we do not
     // own means the peer's ring disagrees with ours: answer not_owner
-    // rather than forwarding again (no loops, ever). A client that
-    // asked to route itself ("redirect": true, single job) gets the
-    // owner's address back instead of transparent forwarding.
+    // rather than forwarding again (no loops, ever).
     const bool forwarded = req.get("forwarded").asBool(false);
-    const bool wantRedirect = req.get("redirect").asBool(false);
 
     struct Admit
     {
@@ -872,7 +866,7 @@ Server::handleSubmit(const JsonValue &req, unsigned version,
             }
         }
         if (a.remote) {
-            if (forwarded || (wantRedirect && specs.size() == 1)) {
+            if (forwarded) {
                 ++notOwnerReplies;
                 return notOwnerResponse(nodes[a.holders.front()].str());
             }
@@ -918,10 +912,13 @@ Server::handleSubmit(const JsonValue &req, unsigned version,
         soleId = id;
         JobRec rec;
         rec.enqueued = now;
+        rec.forwarded = forwarded;
         if (a.cached) {
             rec.state = JobState::Done;
             rec.result = std::move(a.result);
             ++jobsCompleted;  // zero-latency completion
+            if (!forwarded)
+                ++latencySamples;
         }
         jobs.emplace(id, std::move(rec));
         ids.push(JsonValue::integer(id));
@@ -956,25 +953,17 @@ Server::handleSubmit(const JsonValue &req, unsigned version,
         resp.set("id", ids.items().front());
     resp.set("ids", std::move(ids));
 
-    // v4 single-job submit+wait: defer the response until the job
+    // Single-job submit+wait: defer the response until the job
     // finishes (cached jobs are already Done and answer now), parking
     // on the same waiter list "result"+wait uses.
-    if (version >= 4 && req.get("wait").asBool(false) &&
-        admits.size() == 1) {
+    if (req.get("wait").asBool(false) && admits.size() == 1) {
         auto it = jobs.find(soleId);
         if (it->second.state == JobState::Done)
             return doneResponse(soleId, it->second);
         if (it->second.state == JobState::Failed)
             return failedResponse(soleId, it->second);
-        Waiter w;
-        w.connId = connId;
-        w.version = version;
-        if (req.has("rid")) {
-            w.hasRid = true;
-            w.rid = req.get("rid");
-        }
-        it->second.waiters.push_back(std::move(w));
-        deferred = true;
+        it->second.waiters.push_back(park(c));
+        c.deferred = true;
     }
     return resp;
 }
@@ -1208,14 +1197,7 @@ Server::handleResult(OpCall &c)
     } else if (it->second.state == JobState::Failed) {
         c.resp = failedResponse(id, it->second);
     } else if (c.req.get("wait").asBool(false)) {
-        Waiter w;
-        w.connId = c.connId;
-        w.version = c.version;
-        if (c.req.has("rid")) {
-            w.hasRid = true;
-            w.rid = c.req.get("rid");
-        }
-        it->second.waiters.push_back(std::move(w));
+        it->second.waiters.push_back(park(c));
         c.deferred = true;  // answered on completion
     } else {
         c.resp = okResponse();
@@ -1269,9 +1251,10 @@ Server::ensurePeerInfra()
     pool = std::make_unique<PeerPool>(nodes, std::move(po));
     if (loopRunning)
         pool->markRunning();
-    if (!peerTransport)
-        peerTransport = std::make_shared<PoolPeerTransport>(
-            pool.get(), nodes, cfg.peerTimeoutMs);
+    // Replication traffic rides the pool from here on — also on a
+    // node that started standalone and was only now joined.
+    if (peerTransport)
+        peerTransport->usePool(pool.get());
 }
 
 void
@@ -1321,7 +1304,7 @@ Server::startRebalance(const EpochView &ownPrev)
     // parked epoch acks (the handoff read path covers whatever the
     // aborted push skipped) and rescan under the new view pair.
     if (rebal.active) {
-        for (const ParkedResp &p : rebal.acks) {
+        for (const Parked &p : rebal.acks) {
             JsonValue resp = okResponse();
             resp.set("epoch", JsonValue::integer(rebal.epoch));
             respondParked(p, std::move(resp));
@@ -1401,7 +1384,7 @@ Server::finishRebalance()
     if (!rebal.active)
         return;
     rebal.active = false;
-    for (const ParkedResp &p : rebal.acks) {
+    for (const Parked &p : rebal.acks) {
         JsonValue resp = okResponse();
         resp.set("epoch", JsonValue::integer(rebal.epoch));
         respondParked(p, std::move(resp));
@@ -1413,50 +1396,33 @@ Server::finishRebalance()
     }
 }
 
+Server::Parked
+Server::park(const OpCall &c)
+{
+    return Parked{c.connId, c.req.get("rid")};
+}
+
 void
-Server::respondParked(const ParkedResp &p, JsonValue resp)
+Server::respondParked(const Parked &p, JsonValue resp)
 {
     auto it = conns.find(p.connId);
     if (it == conns.end() || it->second.fd < 0)
         return;  // client went away; nothing to deliver
-    stampVersion(resp, p.version);
-    if (p.hasRid)
-        resp.set("rid", p.rid);
-    it->second.out += resp.dump();
-    it->second.out += '\n';
+    reply(it->second, p.rid, std::move(resp));
 }
 
 void
 Server::handleEpoch(OpCall &c)
 {
     const std::uint64_t e = c.req.get("epoch").asU64(0);
-    const JsonValue &mj = c.req.get("members");
-    if (e == 0 || !mj.isArray() || mj.items().empty()) {
-        c.resp = errorResponse("bad_request",
-                               "epoch needs a nonzero 'epoch' and a "
-                               "nonempty 'members' array");
+    std::vector<std::string> members;
+    std::string err;
+    if (e == 0) {
+        c.resp = errorResponse("bad_request", "epoch needs a nonzero id");
         return;
     }
-    std::vector<std::string> members;
-    for (const JsonValue &mv : mj.items()) {
-        const std::string m = mv.asString();
-        Endpoint ep;
-        std::string err;
-        if (!parseEndpoint(m, ep, err)) {
-            c.resp = errorResponse("bad_request",
-                                   "bad member '" + m + "': " + err);
-            return;
-        }
-        members.push_back(ep.str());
-    }
-    // The ring treats duplicate names as a fatal construction error;
-    // wire input must never reach it unchecked.
-    std::vector<std::string> sorted = members;
-    std::sort(sorted.begin(), sorted.end());
-    if (std::adjacent_find(sorted.begin(), sorted.end()) !=
-        sorted.end()) {
-        c.resp = errorResponse(
-            "bad_request", "duplicate member in epoch announcement");
+    if (!parseMembers(c.req.get("members"), members, err)) {
+        c.resp = errorResponse("bad_request", err);
         return;
     }
     const unsigned reps = static_cast<unsigned>(
@@ -1487,32 +1453,14 @@ Server::handleEpoch(OpCall &c)
     // just mean "no announced view", never a rejection.
     EpochView announcedPrev;
     announcedPrev.epoch = c.req.get("prev_epoch").asU64(0);
-    const JsonValue &pj = c.req.get("prev_members");
-    if (pj.isArray()) {
-        bool parsed = true;
-        for (const JsonValue &pv : pj.items()) {
+    if (parseMembers(c.req.get("prev_members"), announcedPrev.members,
+                     err)) {
+        for (const std::string &m : announcedPrev.members) {
             Endpoint pep;
-            std::string perr;
-            if (!parseEndpoint(pv.asString(), pep, perr)) {
-                parsed = false;
-                break;
-            }
-            announcedPrev.members.push_back(pep.str());
+            parseEndpoint(m, pep, err);  // canonical: cannot fail
+            announcedPrev.nodeIdx.push_back(nodeIndexOf(pep));
         }
-        std::vector<std::string> ps = announcedPrev.members;
-        std::sort(ps.begin(), ps.end());
-        if (!parsed || announcedPrev.members.empty() ||
-            std::adjacent_find(ps.begin(), ps.end()) != ps.end()) {
-            announcedPrev.members.clear();
-        } else {
-            for (const std::string &m : announcedPrev.members) {
-                Endpoint pep;
-                std::string perr;
-                parseEndpoint(m, pep, perr);  // re-parse: canonical
-                announcedPrev.nodeIdx.push_back(nodeIndexOf(pep));
-            }
-            announcedPrev.ring = HashRing(announcedPrev.members);
-        }
+        announcedPrev.ring = HashRing(announcedPrev.members);
     }
 
     installEpoch(e, members, reps,
@@ -1521,14 +1469,7 @@ Server::handleEpoch(OpCall &c)
         // The ack doubles as the quiesce signal: the coordinator's
         // admin response only completes once every member (this one
         // included) has drained its rebalance push queue.
-        ParkedResp p;
-        p.connId = c.connId;
-        p.version = c.version;
-        if (c.req.has("rid")) {
-            p.hasRid = true;
-            p.rid = c.req.get("rid");
-        }
-        rebal.acks.push_back(std::move(p));
+        rebal.acks.push_back(park(c));
         c.deferred = true;
         return;
     }
@@ -1567,12 +1508,7 @@ Server::handleJoin(OpCall &c)
     adm.verb = "join";
     adm.node = addr;
     adm.epoch = e;
-    adm.resp.connId = c.connId;
-    adm.resp.version = c.version;
-    if (c.req.has("rid")) {
-        adm.resp.hasRid = true;
-        adm.resp.rid = c.req.get("rid");
-    }
+    adm.resp = park(c);
     c.deferred = true;
 
     std::vector<std::string> newMembers = curEp.members;
@@ -1655,12 +1591,7 @@ Server::handleLeave(OpCall &c)
     adm.verb = "leave";
     adm.node = addr;
     adm.epoch = e;
-    adm.resp.connId = c.connId;
-    adm.resp.version = c.version;
-    if (c.req.has("rid")) {
-        adm.resp.hasRid = true;
-        adm.resp.rid = c.req.get("rid");
-    }
+    adm.resp = park(c);
     c.deferred = true;
 
     // Everyone on the OLD list hears the new epoch — the leaver
@@ -1734,31 +1665,13 @@ Server::broadcastEpoch(const std::vector<std::string> &targets)
                                 reply.resp.get("epoch").asU64(0));
                         const std::uint64_t he =
                             reply.resp.get("epoch").asU64(0);
-                        const JsonValue &hm =
-                            reply.resp.get("members");
-                        if (he > adm.higherEpoch && hm.isArray()) {
-                            std::vector<std::string> hms;
-                            bool parsed = true;
-                            for (const JsonValue &hv :
-                                 hm.items()) {
-                                Endpoint hep;
-                                std::string herr;
-                                if (!parseEndpoint(hv.asString(), hep,
-                                                   herr)) {
-                                    parsed = false;
-                                    break;
-                                }
-                                hms.push_back(hep.str());
-                            }
-                            std::vector<std::string> s2 = hms;
-                            std::sort(s2.begin(), s2.end());
-                            if (parsed && !hms.empty() &&
-                                std::adjacent_find(s2.begin(),
-                                                   s2.end()) ==
-                                    s2.end()) {
-                                adm.higherEpoch = he;
-                                adm.higherMembers = std::move(hms);
-                            }
+                        std::vector<std::string> hms;
+                        std::string herr;
+                        if (he > adm.higherEpoch &&
+                            parseMembers(reply.resp.get("members"), hms,
+                                         herr)) {
+                            adm.higherEpoch = he;
+                            adm.higherMembers = std::move(hms);
                         }
                     } else if (leaver) {
                         warn("dcgserved: leaving node ", m,
@@ -1882,30 +1795,23 @@ Server::finishJob(std::uint64_t id, JobRec &rec, Event &ev)
         if (ev.remote)
             ++jobsForwarded;
     }
-    const auto us =
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - rec.enqueued)
-            .count();
-    latencySumUs += static_cast<std::uint64_t>(us);
-    latencyMaxUs =
-        std::max(latencyMaxUs, static_cast<std::uint64_t>(us));
     ++jobsCompleted;
-
-    if (rec.waiters.empty())
-        return;
-    for (const Waiter &w : rec.waiters) {
-        auto cit = conns.find(w.connId);
-        if (cit == conns.end() || cit->second.fd < 0)
-            continue;
-        JsonValue resp = rec.state == JobState::Failed
-                             ? failedResponse(id, rec)
-                             : doneResponse(id, rec);
-        stampVersion(resp, w.version);
-        if (w.hasRid)
-            resp.set("rid", w.rid);
-        cit->second.out += resp.dump();
-        cit->second.out += '\n';
+    // A forwarded job's latency counts once, where its reply goes to
+    // the client: at the entry node, never again at the owner.
+    if (!rec.forwarded) {
+        const auto us = static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::microseconds>(
+                std::chrono::steady_clock::now() - rec.enqueued)
+                .count());
+        latencySumUs += us;
+        latencyMaxUs = std::max(latencyMaxUs, us);
+        ++latencySamples;
     }
+
+    for (const Parked &w : rec.waiters)
+        respondParked(w, rec.state == JobState::Failed
+                             ? failedResponse(id, rec)
+                             : doneResponse(id, rec));
     rec.waiters.clear();
 }
 
@@ -1956,9 +1862,9 @@ Server::statsJson() const
         s.set("store_dir", JsonValue::string(store->directory()));
     }
     s.set("latency_mean_us",
-          JsonValue::number(jobsCompleted
+          JsonValue::number(latencySamples
                                 ? static_cast<double>(latencySumUs) /
-                                      static_cast<double>(jobsCompleted)
+                                      static_cast<double>(latencySamples)
                                 : 0.0));
     s.set("latency_max_us", JsonValue::integer(latencyMaxUs));
     s.set("protocol_version",
@@ -1992,8 +1898,6 @@ Server::statsJson() const
               JsonValue::integer(pool->linkDeaths()));
         s.set("peer_reconnects",
               JsonValue::integer(pool->reconnects()));
-        s.set("peer_legacy_fallbacks",
-              JsonValue::integer(pool->legacyFallbacks()));
     }
     if (repl) {
         s.set("replication_factor",

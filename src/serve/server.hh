@@ -13,23 +13,21 @@
  *    with a retry-after hint — backpressure, not buffering), answers
  *    status/result/stats without touching a worker, and drives every
  *    peer exchange asynchronously: a forwarded submit is a pipelined
- *    v4 submit+wait frame on the owner's link, its failover walk a
+ *    submit+wait frame on the owner's link, its failover walk a
  *    continuation chain (Forward) stepped by link completions, never
  *    a blocked thread.
  *
  *  - N worker threads pop admitted jobs and ONLY simulate
  *    (Engine::runOne). Results flow back to the I/O thread as events
  *    through the wake pipe, which then resolves any parked
- *    "result"+wait requests — and, on v4, parked single-job
- *    submit+wait requests.
+ *    "result"+wait and single-job submit+wait requests.
  *
  * Clustering: configureCluster() (or ServerConfig::peers/self) names
  * every node of the shared consistent-hash ring plus this node's own
  * canonical "host:port". A submit whose job key hashes to a peer is
- * transparently forwarded — unless the client asked for
- * "redirect": true (answered with not_owner + the owner's address) or
- * the submit is itself a forward (answered with not_owner, never
- * re-forwarded, so ring disagreement cannot loop). Forwarded results
+ * transparently forwarded — unless the submit is itself a forward
+ * (answered with not_owner, never re-forwarded, so ring disagreement
+ * cannot loop). Forwarded results
  * are NOT persisted locally: every record lives on exactly the
  * shard(s) the ring designates. In-flight forwards count against
  * queueCapacity, so peer traffic is backpressured like local work
@@ -43,8 +41,8 @@
  * holders ("replicate" op), and a local miss on a held key is
  * repaired by pulling a sibling's record ("fetch" op). The fan-out
  * thread's pushes and the read-repair fetches ride the multiplexed
- * links through a PoolPeerTransport while the event loop runs (and
- * fall back to one-shot connections around it). Forwarding is
+ * links through the PeerTransport once the pool exists and its loop
+ * runs (and fall back to one-shot connections around it). Forwarding is
  * failover-aware: when the key's primary is unreachable the Forward
  * chain walks the remaining holders in ring order — enqueueing the
  * job locally when this node is itself one of them — before
@@ -61,7 +59,7 @@
  * LRU bounds on the persistent store and the in-memory cache, and the
  * store is compacted once at startup and on {"op":"compact"}.
  *
- * Elastic membership (protocol v5): the cluster's member list is a
+ * Elastic membership: the cluster's member list is a
  * *versioned ring epoch* — a monotonically increasing epoch id plus
  * the member list it was agreed for (EpochView). The admin verbs
  * `join` and `leave` advance it at runtime: the node serving the verb
@@ -72,7 +70,7 @@
  * the previous one for dual-epoch routing (a forwarded submit is
  * served if this node holds the key under *either* epoch, so no
  * request ever misses mid-transition), pushes the remapped ~1/N of
- * its stored records to their new holders via the v3 `replicate`
+ * its stored records to their new holders via the `replicate`
  * verb, and only acks the `epoch` once that push queue drains —
  * which makes a completed join/leave response mean "the whole
  * cluster has rebalanced". Gaps (a push raced an eviction, a node
@@ -210,14 +208,13 @@ class Server
 
     enum class JobState { Queued, Running, Done, Failed };
 
-    /** A "result"+wait (or v4 submit+wait) request parked until its
-     *  job finishes. */
-    struct Waiter
+    /** A request whose response is written later: a "result"+wait
+     *  or submit+wait parked until its job finishes, a peer's `epoch`
+     *  ack or an admin verb parked until the rebalance drains. */
+    struct Parked
     {
         std::uint64_t connId = 0;
-        unsigned version = 1;  ///< the parked request's version
-        bool hasRid = false;
-        JsonValue rid;  ///< echoed verbatim on the deferred response
+        JsonValue rid;  ///< echoed verbatim (null: the request had none)
     };
 
     struct JobRec
@@ -226,7 +223,10 @@ class Server
         RunResult result;
         std::string error;  ///< set when state == Failed
         std::chrono::steady_clock::time_point enqueued;
-        std::vector<Waiter> waiters;
+        /** Submitted by a peer's forward: the entry node answers the
+         *  client and counts the latency, so this node does not. */
+        bool forwarded = false;
+        std::vector<Parked> waiters;
     };
 
     /** One locally-simulated job — the ONLY thing workers see. */
@@ -276,16 +276,6 @@ class Server
         std::string error;
     };
 
-    /** One peer's deferred `epoch` ack, or the parked admin verb
-     *  response — written out once the local rebalance drains. */
-    struct ParkedResp
-    {
-        std::uint64_t connId = 0;
-        unsigned version = 1;
-        bool hasRid = false;
-        JsonValue rid;
-    };
-
     /** The one in-flight membership change this node coordinates. */
     struct AdminChange
     {
@@ -293,7 +283,7 @@ class Server
         std::string verb;       ///< "join" or "leave"
         std::string node;       ///< endpoint being added/removed
         std::uint64_t epoch = 0;
-        ParkedResp resp;        ///< the admin client, answered at end
+        Parked resp;            ///< the admin client, answered at end
         std::size_t pendingAcks = 0;
         bool localDone = false; ///< own rebalance push has drained
         bool failed = false;
@@ -316,7 +306,7 @@ class Server
         };
         std::deque<Item> queue;
         std::size_t inflight = 0;   ///< replicate pushes on the wire
-        std::vector<ParkedResp> acks;  ///< deferred peer `epoch` acks
+        std::vector<Parked> acks;  ///< deferred peer `epoch` acks
     };
 
     /// @name I/O-thread side
@@ -326,8 +316,11 @@ class Server
     void writeConn(Conn &conn);
     void closeConn(Conn &conn);
     void handleLine(Conn &conn, const std::string &line);
-    JsonValue handleSubmit(const JsonValue &req, unsigned version,
-                           std::uint64_t connId, bool &deferred);
+    /** Stamp the version, echo @p rid verbatim (null: none), and queue
+     *  @p resp on @p conn. Every response leaves through here, so a
+     *  multiplexed peer can match it whichever op or error produced it. */
+    void reply(Conn &conn, const JsonValue &rid, JsonValue resp);
+    JsonValue handleSubmit(OpCall &c);
     JsonValue handleReplicate(const JsonValue &req);
     JsonValue handleFetch(const JsonValue &req);
     JsonValue handleStatus(const JsonValue &req) const;
@@ -340,8 +333,8 @@ class Server
     /** Node-table index for @p ep, appending (and growing the pool
      *  and transports) when unknown. */
     std::size_t nodeIndexOf(const Endpoint &ep);
-    /** Create the pool/transport lazily (a standalone node joining a
-     *  cluster mid-run has neither). */
+    /** Create the pool lazily (a standalone node joining a cluster
+     *  mid-run has none) and route the transport through it. */
     void ensurePeerInfra();
     /** Make {epoch, members} the current view: grow the node table,
      *  shift cur -> prev, rewire replication, start the rebalance
@@ -362,8 +355,9 @@ class Server
     /** Send `epoch` to every @p targets member; acks feed adm. */
     void broadcastEpoch(const std::vector<std::string> &targets);
     void maybeFinishAdmin();
+    static Parked park(const OpCall &c);
     /** Write a deferred response to its (possibly gone) connection. */
-    void respondParked(const ParkedResp &p, JsonValue resp);
+    void respondParked(const Parked &p, JsonValue resp);
     JsonValue statsJson() const;
     JsonValue doneResponse(std::uint64_t id, const JobRec &rec) const;
     JsonValue failedResponse(std::uint64_t id,
@@ -455,8 +449,9 @@ class Server
     std::uint64_t notOwnerReplies = 0;
     std::uint64_t submitsRejected = 0;
     std::uint64_t badRequests = 0;
-    std::uint64_t latencySumUs = 0;
+    std::uint64_t latencySumUs = 0;  ///< client-facing jobs only
     std::uint64_t latencyMaxUs = 0;
+    std::uint64_t latencySamples = 0;
     /// @}
 };
 

@@ -1,9 +1,10 @@
 /**
  * End-to-end tests for the sharded dcgserved cluster: byte-identical
  * grids through any entry node, records living on exactly the shard
- * the ring designates, transparent forwarding for legacy unversioned
- * clients, not_owner redirects for ring-aware ones, and the versioned
- * envelope (unsupported_version rejection).
+ * the ring designates, transparent forwarding of unversioned raw
+ * requests, the not_owner bounce that keeps forwards from looping,
+ * the versioned envelope (unsupported_version rejection), and
+ * latency counted once per job.
  */
 
 #include <gtest/gtest.h>
@@ -54,6 +55,26 @@ smallGridSpecs()
         }
     }
     return specs;
+}
+
+/**
+ * A spec @p ring assigns to node @p owner. Searches the full benchmark
+ * set: the ring hashes ephemeral ports, so a short candidate list
+ * occasionally lands entirely on one node.
+ */
+JobSpec
+specOwnedBy(const HashRing &ring, std::size_t owner)
+{
+    JobSpec spec;
+    spec.insts = kInsts;
+    spec.warmup = kWarmup;
+    for (const std::string &bench : allSpecNames()) {
+        spec.bench = bench;
+        if (ring.ownerIndex(exp::jobKey(spec.toJob())) == owner)
+            return spec;
+    }
+    ADD_FAILURE() << "no benchmark hashes to node " << owner;
+    return spec;
 }
 
 std::string
@@ -144,13 +165,13 @@ TEST(Cluster, GridIsByteIdenticalThroughEitherEntryNode)
 
     ClusterFixture fx(2);
 
-    // Legacy single-endpoint client against node 0: every job the
-    // ring assigns to node 1 is transparently forwarded.
-    Client viaA(fx.address(0));
+    // One-endpoint client against node 0: every job the ring assigns
+    // to node 1 is transparently forwarded.
+    ClusterClient viaA({fx.endpoint(0)});
     EXPECT_EQ(asJson(viaA.runJobs(specs)), expected);
 
     // Same grid through the other entry node.
-    Client viaB(fx.address(1));
+    ClusterClient viaB({fx.endpoint(1)});
     EXPECT_EQ(asJson(viaB.runJobs(specs)), expected);
 
     // Ring-aware fan-out over both nodes.
@@ -168,7 +189,7 @@ TEST(Cluster, EachResultIsStoredOnExactlyTheOwningShard)
 
     namespace fs = std::filesystem;
     ClusterFixture fx(2, "shard");
-    Client client(fx.address(0));  // everything enters via node 0
+    ClusterClient client({fx.endpoint(0)});  // everything enters via node 0
     client.runJobs(specs);
 
     const HashRing &ring = fx.node(0).ringView();
@@ -197,27 +218,13 @@ TEST(Cluster, EachResultIsStoredOnExactlyTheOwningShard)
     }
 }
 
-TEST(Cluster, UnversionedLegacyRequestIsForwardedAndAnsweredAsV1)
+TEST(Cluster, UnversionedRequestIsForwardedAndAnsweredAsCurrent)
 {
     ClusterFixture fx(2);
 
-    // Find a spec owned by node 1, then submit it raw — no "version"
-    // member — through node 0, exactly like a pre-cluster client.
-    const HashRing &ring = fx.node(0).ringView();
-    JobSpec spec;
-    spec.insts = kInsts;
-    spec.warmup = kWarmup;
-    // Search the full benchmark set: the ring hashes ephemeral ports,
-    // so a short candidate list occasionally lands entirely on node 0.
-    bool found = false;
-    for (const std::string &bench : allSpecNames()) {
-        spec.bench = bench;
-        if (ring.ownerIndex(exp::jobKey(spec.toJob())) == 1) {
-            found = true;
-            break;
-        }
-    }
-    ASSERT_TRUE(found) << "no test bench hashes to node 1";
+    // Submit a spec owned by node 1 raw — no "version" member, which
+    // means the current version — through node 0.
+    const JobSpec spec = specOwnedBy(fx.node(0).ringView(), 1);
 
     Connection conn;
     std::string err;
@@ -230,7 +237,7 @@ TEST(Cluster, UnversionedLegacyRequestIsForwardedAndAnsweredAsV1)
     ASSERT_TRUE(conn.roundTrip(submit, resp, err)) << err;
     ASSERT_TRUE(resp.get("ok").asBool(false))
         << resp.get("detail").asString();
-    EXPECT_EQ(resp.get("version").asU64(0), 1u);
+    EXPECT_EQ(resp.get("version").asU64(0), kProtocolVersion);
 
     JsonValue wait = JsonValue::object();
     wait.set("op", JsonValue::string("result"));
@@ -239,7 +246,7 @@ TEST(Cluster, UnversionedLegacyRequestIsForwardedAndAnsweredAsV1)
     ASSERT_TRUE(conn.roundTrip(wait, resp, err)) << err;
     ASSERT_TRUE(resp.get("ok").asBool(false))
         << resp.get("error").asString();
-    EXPECT_EQ(resp.get("version").asU64(0), 1u);
+    EXPECT_EQ(resp.get("version").asU64(0), kProtocolVersion);
     EXPECT_EQ(resp.get("status").asString(), "done");
 
     std::vector<RunResult> results;
@@ -249,51 +256,29 @@ TEST(Cluster, UnversionedLegacyRequestIsForwardedAndAnsweredAsV1)
     EXPECT_EQ(results[0].benchmark, spec.bench);
 }
 
-TEST(Cluster, RedirectRequestYieldsNotOwnerWithOwnerAddress)
+TEST(Cluster, ForwardedSubmitYieldsNotOwnerWithOwnerAddress)
 {
     ClusterFixture fx(2);
-    const HashRing &ring = fx.node(0).ringView();
-
-    JobSpec spec;
-    spec.insts = kInsts;
-    spec.warmup = kWarmup;
-    // Full benchmark set for the same reason as the legacy test above.
-    bool found = false;
-    for (const std::string &bench : allSpecNames()) {
-        spec.bench = bench;
-        if (ring.ownerIndex(exp::jobKey(spec.toJob())) == 1) {
-            found = true;
-            break;
-        }
-    }
-    ASSERT_TRUE(found);
+    const JobSpec spec = specOwnedBy(fx.node(0).ringView(), 1);
 
     Connection conn;
     std::string err;
     ASSERT_TRUE(conn.open(fx.endpoint(0), err)) << err;
 
+    // A forwarded submit for a foreign key is bounced, never
+    // re-forwarded — the loop-prevention invariant.
     JsonValue submit = JsonValue::object();
     submit.set("op", JsonValue::string("submit"));
     submit.set("job", spec.toJson());
-    submit.set("redirect", JsonValue::boolean(true));
-    stampVersion(submit, kProtocolVersion);
+    submit.set("forwarded", JsonValue::boolean(true));
     JsonValue resp;
     ASSERT_TRUE(conn.roundTrip(submit, resp, err)) << err;
     EXPECT_FALSE(resp.get("ok").asBool(true));
     EXPECT_EQ(resp.get("error").asString(), "not_owner");
-    EXPECT_EQ(resp.get("redirect").asString(), fx.address(1));
+    EXPECT_NE(resp.get("detail").asString().find(fx.address(1)),
+              std::string::npos)
+        << resp.dump();
     EXPECT_EQ(resp.get("version").asU64(0), kProtocolVersion);
-
-    // A forwarded submit for a foreign key is likewise bounced, never
-    // re-forwarded — the loop-prevention invariant.
-    submit = JsonValue::object();
-    submit.set("op", JsonValue::string("submit"));
-    submit.set("job", spec.toJson());
-    submit.set("forwarded", JsonValue::boolean(true));
-    stampVersion(submit, kProtocolVersion);
-    ASSERT_TRUE(conn.roundTrip(submit, resp, err)) << err;
-    EXPECT_FALSE(resp.get("ok").asBool(true));
-    EXPECT_EQ(resp.get("error").asString(), "not_owner");
 }
 
 TEST(Cluster, FutureProtocolVersionIsRejectedStructurally)
@@ -336,4 +321,30 @@ TEST(Cluster, StatsAggregateAcrossNodes)
     const JsonValue &perNode = stats.get("nodes");
     EXPECT_TRUE(perNode.has(fx.address(0)));
     EXPECT_TRUE(perNode.has(fx.address(1)));
+}
+
+TEST(Cluster, ForwardedJobLatencyCountsOnlyAtTheEntryNode)
+{
+    ClusterFixture fx(2);
+    const JobSpec spec = specOwnedBy(fx.node(0).ringView(), 1);
+
+    ClusterClient client({fx.endpoint(0)});
+    ASSERT_EQ(client.runJobs({spec}).size(), 1u);
+
+    const auto statsOf = [&](std::size_t i) {
+        ClusterClient one({fx.endpoint(i)});
+        return one.stats();
+    };
+    // Node 1 ran the job for node 0's forward: it completed it, but
+    // the reply went to a peer, so it took no latency sample.
+    const JsonValue owner = statsOf(1);
+    EXPECT_EQ(owner.get("jobs_completed").asU64(0), 1u);
+    EXPECT_EQ(owner.get("latency_max_us").asU64(1), 0u);
+    EXPECT_EQ(owner.get("latency_mean_us").asNumber(1.0), 0.0);
+
+    // Node 0 answered the client and counted the whole round trip.
+    const JsonValue entry = statsOf(0);
+    EXPECT_EQ(entry.get("jobs_forwarded").asU64(0), 1u);
+    EXPECT_GT(entry.get("latency_max_us").asU64(0), 0u);
+    EXPECT_GT(entry.get("latency_mean_us").asNumber(0.0), 0.0);
 }

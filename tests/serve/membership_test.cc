@@ -1,6 +1,5 @@
 /**
- * Elastic-membership tests (protocol v5): live join/leave on the
- * versioned ring.
+ * Elastic-membership tests: live join/leave on the versioned ring.
  *
  *  - a join moves exactly the arcs the ring remaps (~1/N) and nothing
  *    else, and the moved records are served without re-simulation;
@@ -8,7 +7,9 @@
  *    byte-identical to a local engine run;
  *  - leaving a replica holder keeps every key answerable;
  *  - a double join is rejected with a structured already_member error;
- *  - epoch disagreement resolves to the higher epoch.
+ *  - epoch disagreement resolves to the higher epoch;
+ *  - a node that started standalone replicates over the multiplexed
+ *    links once it has joined.
  */
 
 #include <gtest/gtest.h>
@@ -22,9 +23,10 @@
 #include "exp/engine.hh"
 #include "exp/job.hh"
 #include "serve/client.hh"
+#include "serve/replica_cluster.hh"
 #include "serve/ring.hh"
 #include "sim/report.hh"
-#include "serve/replica_cluster.hh"
+#include "trace/spec2000.hh"
 
 using namespace dcg;
 using namespace dcg::serve;
@@ -262,4 +264,39 @@ TEST(Membership, EpochMismatchResolvesToHigher)
     EXPECT_EQ(resp.get("error").asString(), "stale_epoch");
     EXPECT_EQ(resp.get("epoch").asU64(0), higher);
     EXPECT_EQ(resp.get("members").items().size(), 2u);
+}
+
+TEST(Membership, JoinedStandaloneNodeReplicatesOverThePeerLinks)
+{
+    ReplicaCluster cluster(2, 2, "join_links");
+    cluster.start();
+    const std::size_t j = cluster.addStandaloneNode("join_links_new");
+    const JsonValue joined =
+        cluster.adminOp(0, "join", cluster.address(j));
+    ASSERT_TRUE(joined.get("ok").asBool(false)) << joined.dump();
+
+    // Fresh jobs the grown ring gives the joiner as primary: it
+    // simulates them and pushes each to its follower.
+    const HashRing ring({cluster.address(0), cluster.address(1),
+                         cluster.address(j)});
+    std::vector<JobSpec> specs;
+    for (const std::string &bench : allSpecNames()) {
+        JobSpec s;
+        s.bench = bench;
+        s.insts = kInsts;
+        s.warmup = kWarmup;
+        if (ring.owner(exp::jobKey(s.toJob())) == cluster.address(j))
+            specs.push_back(s);
+    }
+    ASSERT_FALSE(specs.empty()) << "no benchmark hashes to the joiner";
+    EXPECT_EQ(asJson(runVia(cluster.boundEndpoints(), specs, 2)),
+              asJson(runLocally(specs)));
+    cluster.flushReplication();
+
+    // Every push rode the joiner's pool, which counts each request it
+    // sends — a one-shot connection per push would count none.
+    const JsonValue st = cluster.nodeStats(j);
+    const std::uint64_t pushes = st.get("replicas_written").asU64(0);
+    EXPECT_GE(pushes, specs.size());
+    EXPECT_GE(st.get("peer_requests").asU64(0), pushes);
 }

@@ -1,8 +1,8 @@
 /**
  * Op-handler registry tests: the string-keyed catalog that replaced
  * the server's verb chain. Covers the catalog surface, the structured
- * unknown-op rejection (which must name the catalog), the stats `ops`
- * listing, and minimum-version enforcement for v5 verbs.
+ * unknown-op rejection (which must name the catalog), and the stats
+ * `ops` listing.
  */
 
 #include <gtest/gtest.h>
@@ -46,15 +46,13 @@ class OneServer
         return Endpoint{"127.0.0.1", server->port()};
     }
 
-    /** Raw exchange at an explicit envelope version (0 = unstamped). */
-    JsonValue exchange(JsonValue req, unsigned version)
+    /** Raw exchange on a fresh connection. */
+    JsonValue exchange(const JsonValue &req)
     {
         Connection conn;
         std::string err;
         if (!conn.open(endpoint(), err))
             fatal("ops_test exchange: ", err);
-        if (version)
-            stampVersion(req, version);
         JsonValue resp;
         if (!conn.roundTrip(req, resp, err))
             fatal("ops_test exchange: ", err);
@@ -88,18 +86,9 @@ TEST(OpRegistry, CatalogNamesEveryVerb)
     for (const OpInfo &info : opCatalog()) {
         EXPECT_FALSE(info.description.empty()) << info.name;
         EXPECT_TRUE(isOp(info.name));
-        EXPECT_EQ(findOp(info.name)->minVersion, info.minVersion);
     }
     EXPECT_FALSE(isOp("no-such-verb"));
     EXPECT_EQ(findOp("no-such-verb"), nullptr);
-
-    // The membership verbs are v5; the historic surface predates
-    // version gating.
-    EXPECT_EQ(findOp("join")->minVersion, 5u);
-    EXPECT_EQ(findOp("leave")->minVersion, 5u);
-    EXPECT_EQ(findOp("ring")->minVersion, 5u);
-    EXPECT_EQ(findOp("epoch")->minVersion, 5u);
-    EXPECT_EQ(findOp("submit")->minVersion, 1u);
 
     // Admin verbs are flagged as such.
     EXPECT_TRUE(findOp("shutdown")->adminOnly);
@@ -112,8 +101,7 @@ TEST(OpRegistry, CatalogNamesEveryVerb)
 TEST(OpRegistry, UnknownOpNamesTheCatalog)
 {
     OneServer srv;
-    const JsonValue resp =
-        srv.exchange(opRequest("frobnicate"), kProtocolVersion);
+    const JsonValue resp = srv.exchange(opRequest("frobnicate"));
     EXPECT_FALSE(resp.get("ok").asBool(true));
     EXPECT_EQ(resp.get("error").asString(), "bad_request");
     const std::string detail = resp.get("detail").asString();
@@ -127,8 +115,7 @@ TEST(OpRegistry, UnknownOpNamesTheCatalog)
 TEST(OpRegistry, StatsListsTheOps)
 {
     OneServer srv;
-    const JsonValue resp =
-        srv.exchange(opRequest("stats"), kProtocolVersion);
+    const JsonValue resp = srv.exchange(opRequest("stats"));
     ASSERT_TRUE(resp.get("ok").asBool(false)) << resp.dump();
     const JsonValue &ops = resp.get("stats").get("ops");
     ASSERT_TRUE(ops.isArray());
@@ -136,28 +123,10 @@ TEST(OpRegistry, StatsListsTheOps)
     bool sawJoin = false;
     for (const JsonValue &o : ops.items()) {
         EXPECT_FALSE(o.get("name").asString().empty());
-        EXPECT_GE(o.get("min_version").asU64(0), 1u);
         if (o.get("name").asString() == "join") {
             sawJoin = true;
-            EXPECT_EQ(o.get("min_version").asU64(0), 5u);
             EXPECT_TRUE(o.get("admin").asBool(false));
         }
     }
     EXPECT_TRUE(sawJoin);
-}
-
-TEST(OpRegistry, V5VerbRejectedOnOldEnvelope)
-{
-    OneServer srv;
-    for (const unsigned version : {0u, 1u, 4u}) {
-        JsonValue req = opRequest("ring");
-        const JsonValue resp = srv.exchange(req, version);
-        EXPECT_FALSE(resp.get("ok").asBool(true));
-        EXPECT_EQ(resp.get("error").asString(), "version_too_low")
-            << "version " << version << ": " << resp.dump();
-        EXPECT_EQ(resp.get("min_version").asU64(0), 5u);
-    }
-    // The historic verbs keep answering unversioned requests.
-    const JsonValue stats = srv.exchange(opRequest("stats"), 0);
-    EXPECT_TRUE(stats.get("ok").asBool(false)) << stats.dump();
 }

@@ -1,5 +1,5 @@
 /**
- * Multiplexed peer-link tests: the protocol-v4 PeerPool/LinkLoop layer
+ * Multiplexed peer-link tests: the PeerPool/LinkLoop layer
  * under fault injection. Jobs of deliberately different lengths prove
  * rid matching (out-of-order completions must still assemble into a
  * byte-identical in-order grid); a FaultProxy in front of the node
@@ -7,7 +7,8 @@
  * and that Garbage / mid-frame byte-budget cuts kill the link cleanly
  * — in-flight requests fail over, the link reconnects, and no
  * response is ever delivered against the wrong request. A scripted
- * v3-only peer pins the legacy one-shot fallback path.
+ * peer that answers without a rid pins that such a response kills the
+ * link like any other malformed frame.
  */
 
 #include <gtest/gtest.h>
@@ -114,21 +115,17 @@ class ProxiedNode
 };
 
 /**
- * A scripted peer that speaks protocol v3 and nothing newer: any
- * version-4 frame is bounced with a rid-less unsupported_version
- * naming supported=3 (exactly what a pre-mux dcgserved answers), and
- * v3 one-shot requests get a well-formed stats response. Each
- * connection serves one exchange, then closes — the pre-mux wire
- * behaviour the legacy fallback executor expects.
+ * A scripted peer that answers every request line with a well-formed
+ * response that carries no rid, then closes the connection.
  */
-class FakeV3Peer
+class RidlessPeer
 {
   public:
-    FakeV3Peer()
+    RidlessPeer()
     {
         listenFd = ::socket(AF_INET, SOCK_STREAM, 0);
         if (listenFd < 0)
-            fatal("FakeV3Peer: socket: ", std::strerror(errno));
+            fatal("RidlessPeer: socket: ", std::strerror(errno));
         const int one = 1;
         ::setsockopt(listenFd, SOL_SOCKET, SO_REUSEADDR, &one,
                      sizeof(one));
@@ -139,17 +136,17 @@ class FakeV3Peer
         if (::bind(listenFd, reinterpret_cast<sockaddr *>(&addr),
                    sizeof(addr)) != 0 ||
             ::listen(listenFd, 8) != 0)
-            fatal("FakeV3Peer: bind/listen: ", std::strerror(errno));
+            fatal("RidlessPeer: bind/listen: ", std::strerror(errno));
         socklen_t len = sizeof(addr);
         if (::getsockname(listenFd,
                           reinterpret_cast<sockaddr *>(&addr),
                           &len) != 0)
-            fatal("FakeV3Peer: getsockname: ", std::strerror(errno));
+            fatal("RidlessPeer: getsockname: ", std::strerror(errno));
         port = ntohs(addr.sin_port);
         acceptor = std::thread([this] { serveLoop(); });
     }
 
-    ~FakeV3Peer()
+    ~RidlessPeer()
     {
         stopping.store(true);
         ::shutdown(listenFd, SHUT_RDWR);
@@ -160,10 +157,8 @@ class FakeV3Peer
 
     Endpoint address() const { return Endpoint{"127.0.0.1", port}; }
 
-    /** v3 requests answered (the one-shot fallback exchanges). */
-    std::size_t v3Serves() const { return served.load(); }
-    /** v4 frames bounced with unsupported_version. */
-    std::size_t v4Bounces() const { return bounced.load(); }
+    /** Requests answered (without a rid). */
+    std::size_t served() const { return answered.load(); }
 
   private:
     void serveLoop()
@@ -190,26 +185,11 @@ class FakeV3Peer
         std::string err;
         if (!JsonValue::parse(line, req, err))
             return;
-        const std::uint64_t version = req.get("version").asU64(1);
 
-        JsonValue resp;
-        if (version > 3) {
-            // Deliberately rid-less: a v3 server has never heard of
-            // rids, and the pool must downgrade on this shape.
-            resp = errorResponse("unsupported_version",
-                                 "this peer speaks protocol 3");
-            resp.set("supported",
-                     JsonValue::integer(std::uint64_t{3}));
-            ++bounced;
-        } else {
-            resp = okResponse();
-            JsonValue stats = JsonValue::object();
-            stats.set("simulations",
-                      JsonValue::integer(std::uint64_t{0}));
-            resp.set("stats", stats);
-            ++served;
-        }
-        stampVersion(resp, static_cast<unsigned>(version));
+        JsonValue resp = okResponse();
+        resp.set("stats", JsonValue::object());
+        stampVersion(resp, kProtocolVersion);
+        ++answered;
 
         const std::string out = resp.dump() + "\n";
         std::size_t off = 0;
@@ -225,8 +205,7 @@ class FakeV3Peer
     int listenFd = -1;
     std::uint16_t port = 0;
     std::atomic<bool> stopping{false};
-    std::atomic<std::size_t> served{0};
-    std::atomic<std::size_t> bounced{0};
+    std::atomic<std::size_t> answered{0};
     std::thread acceptor;
 };
 
@@ -260,9 +239,8 @@ TEST(PeerLink, OnePersistentConnectionCarriesTheWholeGrid)
     EXPECT_EQ(asJson(client.runJobs(specs)), expected);
 
     // The whole pipelined grid — every submit and every deferred
-    // result — rode a single TCP connection. The pre-mux client paid
-    // at least one connection per node per grid; the budget here is
-    // exactly one, period.
+    // result — rode a single TCP connection: the budget is exactly
+    // one, period.
     EXPECT_EQ(node.fault().connectionsSeen(), 1u);
 }
 
@@ -376,7 +354,7 @@ TEST(PeerLink, PoolCountsLinkDeathsAndReconnects)
     loop.start();
     PeerPool &pool = loop.pool();
 
-    // Healthy exchange first: the link comes up and confirms v4.
+    // Healthy exchange first: the link comes up.
     JsonValue resp;
     std::string err;
     ASSERT_TRUE(pool.callSync(0, statsReq(), resp, err)) << err;
@@ -396,36 +374,23 @@ TEST(PeerLink, PoolCountsLinkDeathsAndReconnects)
 
     EXPECT_GE(pool.linkDeaths(), 1u);
     EXPECT_GE(pool.reconnects(), 1u);
-    EXPECT_EQ(pool.legacyFallbacks(), 0u);
     loop.stop();
 }
 
-TEST(PeerLink, LegacyPeerTriggersOneShotFallback)
+TEST(PeerLink, RidlessResponseKillsTheLink)
 {
-    FakeV3Peer peer;
+    RidlessPeer peer;
     LinkLoop loop({peer.address()}, /*peerTimeoutMs=*/2000);
     loop.start();
     PeerPool &pool = loop.pool();
 
-    // The first frame is pipelined optimistically as v4; the peer
-    // bounces it rid-less with supported=3 and the pool replays the
-    // request over a one-shot v3 connection — the caller just sees a
-    // successful exchange.
+    // The answer cannot be matched to its request: the link dies and
+    // the request fails, exactly as for a malformed frame.
     JsonValue resp;
     std::string err;
-    ASSERT_TRUE(pool.callSync(0, statsReq(), resp, err)) << err;
-    EXPECT_TRUE(resp.get("ok").asBool(false));
-    EXPECT_TRUE(resp.has("stats"));
-    EXPECT_GE(peer.v4Bounces(), 1u);
-    EXPECT_EQ(peer.v3Serves(), 1u);
-    EXPECT_GE(pool.legacyFallbacks(), 1u);
-
-    // The downgrade is sticky: the next request goes straight to the
-    // one-shot path without another v4 probe on that link.
-    const std::size_t bouncesAfterDowngrade = peer.v4Bounces();
-    ASSERT_TRUE(pool.callSync(0, statsReq(), resp, err)) << err;
-    EXPECT_TRUE(resp.get("ok").asBool(false));
-    EXPECT_EQ(peer.v3Serves(), 2u);
-    EXPECT_EQ(peer.v4Bounces(), bouncesAfterDowngrade);
+    EXPECT_FALSE(pool.callSync(0, statsReq(), resp, err));
+    EXPECT_NE(err.find("rid"), std::string::npos) << err;
+    EXPECT_EQ(peer.served(), 1u);
+    EXPECT_EQ(pool.linkDeaths(), 1u);
     loop.stop();
 }

@@ -3,8 +3,8 @@
  * exactly the k ring successors (replica-marked on the followers),
  * a cold-restarted node serves its keys from the surviving replicas
  * with zero re-simulations, a corrupt replica heals through
- * re-simulation instead of failing, and the v3 `replicate`/`fetch`
- * ops hold their protocol contract.
+ * re-simulation instead of failing, and the `replicate`/`fetch` ops
+ * hold their protocol contract.
  */
 
 #include <gtest/gtest.h>

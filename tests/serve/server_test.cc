@@ -1,12 +1,18 @@
 /**
- * End-to-end tests for dcgserved's Server + Client: remote execution
- * bit-identical to a local Engine, the stats surface, backpressure on
- * a full queue, bad-request tolerance, warm resubmission, and the
+ * End-to-end tests for dcgserved's Server + ClusterClient: remote
+ * execution bit-identical to a local Engine, the stats surface,
+ * backpressure on a full queue, bad-request tolerance (hostile nesting
+ * included), the one-version envelope, warm resubmission, and the
  * cold-restart-from-store acceptance path (0 simulations).
  */
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+
+#include <algorithm>
 #include <filesystem>
 #include <memory>
 #include <sstream>
@@ -47,9 +53,9 @@ class ServerFixture
         io.join();
     }
 
-    std::string address() const
+    Endpoint endpoint() const
     {
-        return "127.0.0.1:" + std::to_string(server->port());
+        return Endpoint{"127.0.0.1", server->port()};
     }
 
     Server &get() { return *server; }
@@ -95,6 +101,24 @@ freshDir(const std::string &tag)
     return p.string();
 }
 
+/** One request/response on @p conn; fails the test on transport error. */
+JsonValue
+exchange(Connection &conn, const JsonValue &req)
+{
+    JsonValue resp;
+    std::string err;
+    EXPECT_TRUE(conn.roundTrip(req, resp, err)) << err;
+    return resp;
+}
+
+JsonValue
+statsRequest()
+{
+    JsonValue req = JsonValue::object();
+    req.set("op", JsonValue::string("stats"));
+    return req;
+}
+
 } // namespace
 
 TEST(Server, RemoteGridIsBitIdenticalToLocalRun)
@@ -109,7 +133,7 @@ TEST(Server, RemoteGridIsBitIdenticalToLocalRun)
     const auto expected = local.run(jobs);
 
     ServerFixture fx;
-    Client client(fx.address());
+    ClusterClient client({fx.endpoint()});
     const auto remote = client.runJobs(specs);
 
     ASSERT_EQ(remote.size(), expected.size());
@@ -119,7 +143,7 @@ TEST(Server, RemoteGridIsBitIdenticalToLocalRun)
 TEST(Server, StatsReportQueueWorkersAndCacheCounters)
 {
     ServerFixture fx;
-    Client client(fx.address());
+    ClusterClient client({fx.endpoint()});
     const auto specs = smallGridSpecs();
     client.runJobs(specs);
 
@@ -150,7 +174,9 @@ TEST(Server, FullQueueRejectsWithRetryAfterHint)
     cfg.queueCapacity = 0;  // deterministic: every uncached submit spills
     cfg.retryAfterMs = 123;
     ServerFixture fx(cfg);
-    Client client(fx.address());
+    Connection conn;
+    std::string err;
+    ASSERT_TRUE(conn.open(fx.endpoint(), err)) << err;
 
     JsonValue req = JsonValue::object();
     req.set("op", JsonValue::string("submit"));
@@ -159,13 +185,13 @@ TEST(Server, FullQueueRejectsWithRetryAfterHint)
     s.warmup = kWarmup;
     req.set("job", s.toJson());
 
-    const JsonValue resp = client.request(req);
+    const JsonValue resp = exchange(conn, req);
     EXPECT_FALSE(resp.get("ok").asBool(true));
     EXPECT_EQ(resp.get("error").asString(), "busy");
     EXPECT_EQ(resp.get("retry_after_ms").asU64(), 123u);
     EXPECT_EQ(resp.get("queue_capacity").asU64(), 0u);
 
-    const JsonValue stats = client.stats();
+    const JsonValue stats = exchange(conn, statsRequest()).get("stats");
     EXPECT_EQ(stats.get("submits_rejected").asU64(), 1u);
     EXPECT_EQ(stats.get("jobs_submitted").asU64(), 0u);
 }
@@ -173,11 +199,13 @@ TEST(Server, FullQueueRejectsWithRetryAfterHint)
 TEST(Server, MalformedAndUnknownRequestsAreRejectedNotFatal)
 {
     ServerFixture fx;
-    Client client(fx.address());
+    Connection conn;
+    std::string err;
+    ASSERT_TRUE(conn.open(fx.endpoint(), err)) << err;
 
     JsonValue bad = JsonValue::object();
     bad.set("op", JsonValue::string("frobnicate"));
-    JsonValue resp = client.request(bad);
+    JsonValue resp = exchange(conn, bad);
     EXPECT_FALSE(resp.get("ok").asBool(true));
     EXPECT_EQ(resp.get("error").asString(), "bad_request");
 
@@ -187,19 +215,19 @@ TEST(Server, MalformedAndUnknownRequestsAreRejectedNotFatal)
     JobSpec s;
     s.bench = "no_such_bench";
     submit.set("job", s.toJson());
-    resp = client.request(submit);
+    resp = exchange(conn, submit);
     EXPECT_FALSE(resp.get("ok").asBool(true));
 
     // Unknown job id.
     JsonValue status = JsonValue::object();
     status.set("op", JsonValue::string("status"));
     status.set("id", JsonValue::integer(std::uint64_t{999999}));
-    resp = client.request(status);
+    resp = exchange(conn, status);
     EXPECT_FALSE(resp.get("ok").asBool(true));
     EXPECT_EQ(resp.get("error").asString(), "unknown_id");
 
     // The connection (and server) survived all of it.
-    const JsonValue stats = client.stats();
+    const JsonValue stats = exchange(conn, statsRequest()).get("stats");
     EXPECT_GE(stats.get("bad_requests").asU64(), 2u);
     EXPECT_EQ(stats.get("jobs_submitted").asU64(), 0u);
 }
@@ -214,7 +242,7 @@ TEST(Server, ColdRestartServesGridEntirelyFromDisk)
         ServerConfig cfg;
         cfg.storeDir = dir;
         ServerFixture fx(cfg);
-        Client client(fx.address());
+        ClusterClient client({fx.endpoint()});
         firstJson = asJson(client.runJobs(specs));
         const JsonValue stats = client.stats();
         EXPECT_EQ(stats.get("simulations").asU64(), specs.size());
@@ -225,7 +253,7 @@ TEST(Server, ColdRestartServesGridEntirelyFromDisk)
         ServerConfig cfg;
         cfg.storeDir = dir;
         ServerFixture fx(cfg);
-        Client client(fx.address());
+        ClusterClient client({fx.endpoint()});
         const std::string secondJson = asJson(client.runJobs(specs));
         EXPECT_EQ(firstJson, secondJson);
 
@@ -243,7 +271,7 @@ TEST(Server, ColdRestartServesGridEntirelyFromDisk)
 TEST(Server, StopWhileIdleDrainsCleanly)
 {
     ServerFixture fx;
-    Client client(fx.address());
+    ClusterClient client({fx.endpoint()});
     JobSpec s;
     s.insts = kInsts;
     s.warmup = kWarmup;
@@ -251,4 +279,86 @@ TEST(Server, StopWhileIdleDrainsCleanly)
     ASSERT_EQ(results.size(), 1u);
     // ~ServerFixture requests the stop and joins run(); the test
     // passes iff that returns (no hang, no crash).
+}
+
+TEST(Server, DeeplyNestedFrameIsOneBadRequestNotACrash)
+{
+    ServerFixture fx;
+
+    // A raw socket: the frame is not valid JSON, so no JsonValue can
+    // carry it onto the wire.
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(fx.endpoint().port);
+    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr *>(&addr),
+                        sizeof(addr)),
+              0);
+
+    const std::string frame =
+        std::string(100000, '[') + "\n" + statsRequest().dump() + "\n";
+    std::size_t off = 0;
+    while (off < frame.size()) {
+        const ssize_t w =
+            ::send(fd, frame.data() + off, frame.size() - off, 0);
+        ASSERT_GT(w, 0);
+        off += static_cast<std::size_t>(w);
+    }
+
+    // Exactly two response lines come back: one bad_request for the
+    // hostile frame, then the stats answer on the same connection.
+    std::string in;
+    char buf[4096];
+    while (std::count(in.begin(), in.end(), '\n') < 2) {
+        const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+        ASSERT_GT(n, 0) << "node closed the connection";
+        in.append(buf, static_cast<std::size_t>(n));
+    }
+    ::close(fd);
+
+    const std::size_t nl = in.find('\n');
+    JsonValue first, second;
+    std::string err;
+    ASSERT_TRUE(JsonValue::parse(in.substr(0, nl), first, err)) << err;
+    ASSERT_TRUE(JsonValue::parse(in.substr(nl + 1, in.size() - nl - 2),
+                                 second, err))
+        << err;
+    EXPECT_EQ(first.get("error").asString(), "bad_request");
+    EXPECT_NE(first.get("detail").asString().find("nesting"),
+              std::string::npos)
+        << first.dump();
+    ASSERT_TRUE(second.get("ok").asBool(false)) << second.dump();
+    EXPECT_EQ(second.get("stats").get("bad_requests").asU64(), 1u);
+}
+
+TEST(Server, OneEnvelopeVersion)
+{
+    ServerFixture fx;
+    Connection conn;
+    std::string err;
+    ASSERT_TRUE(conn.open(fx.endpoint(), err)) << err;
+
+    // Unversioned means the current version — what perfbench and
+    // every raw probe send.
+    JsonValue resp = exchange(conn, statsRequest());
+    EXPECT_TRUE(resp.get("ok").asBool(false)) << resp.dump();
+    EXPECT_EQ(resp.get("version").asU64(0), kProtocolVersion);
+
+    // Any other explicit version, older included, gets the one
+    // structured rejection, still rid-echoed and stamped current.
+    JsonValue old = statsRequest();
+    old.set("version", JsonValue::integer(std::uint64_t{4}));
+    old.set("rid", JsonValue::integer(std::uint64_t{7}));
+    resp = exchange(conn, old);
+    EXPECT_FALSE(resp.get("ok").asBool(true));
+    EXPECT_EQ(resp.get("error").asString(), "unsupported_version");
+    EXPECT_EQ(resp.get("supported").asU64(0), kProtocolVersion);
+    EXPECT_EQ(resp.get("version").asU64(0), kProtocolVersion);
+    EXPECT_EQ(resp.get("rid").asU64(0), 7u);
+
+    JsonValue cur = statsRequest();
+    stampVersion(cur, kProtocolVersion);
+    EXPECT_TRUE(exchange(conn, cur).get("ok").asBool(false));
 }

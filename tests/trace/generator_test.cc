@@ -215,6 +215,21 @@ TEST(TraceGenerator, LowPhaseShortensDependences)
     EXPECT_GT(ready_high / n_high, ready_low / n_low + 0.2);
 }
 
+namespace dcg {
+
+/**
+ * Print a profile as its name. Without this gtest prints the raw bytes
+ * of the object, including a heap pointer, so the listed test names
+ * change with every build.
+ */
+void
+PrintTo(const Profile &p, std::ostream *os)
+{
+    *os << p.name;
+}
+
+} // namespace dcg
+
 /** Instruction-mix convergence for every shipped SPEC2000 profile. */
 class MixConvergence : public ::testing::TestWithParam<Profile> {};
 
