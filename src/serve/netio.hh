@@ -13,6 +13,12 @@
  * Only EINTR is absorbed — a signal must never be misread as a dead
  * peer, a short write, or an expired timeout.
  *
+ * Every socket the layer opens or accepts also passes through
+ * acceptRetry() or connectRetry(), so those two set TCP_NODELAY.
+ * Each frame here is a whole request or reply line; with Nagle on, a
+ * reply pipelined behind an unacknowledged one waits for the peer's
+ * delayed ACK (~40 ms on Linux) and stalls the whole link.
+ *
  * connectRetry() is the one asymmetric case: POSIX says a connect()
  * interrupted by a signal *continues asynchronously*, so retrying the
  * call itself would yield EALREADY/EISCONN confusion. Instead an
@@ -23,6 +29,8 @@
 #ifndef DCG_SERVE_NETIO_HH
 #define DCG_SERVE_NETIO_HH
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/types.h>
@@ -93,25 +101,49 @@ pollRetry(pollfd *fds, nfds_t nfds, int timeoutMs)
     }
 }
 
-/** accept(2) restarted on EINTR. */
+/** Switch Nagle off on @p fd (see file comment); 0, or -1 + errno. */
+inline int
+setNoDelay(int fd)
+{
+    const int one = 1;
+    return setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
+/**
+ * accept(2) restarted on EINTR; the accepted socket has TCP_NODELAY
+ * set. A socket that refuses the option is closed and reported as a
+ * failed accept (-1, setsockopt's errno).
+ */
 inline int
 acceptRetry(int fd)
 {
     for (;;) {
         const int r = accept(fd, nullptr, nullptr);
-        if (r >= 0 || errno != EINTR)
+        if (r >= 0) {
+            if (setNoDelay(r) == 0)
+                return r;
+            const int err = errno;
+            close(r);
+            errno = err;
+            return -1;
+        }
+        if (errno != EINTR)
             return r;
     }
 }
 
 /**
- * connect(2) with EINTR mapped to EINPROGRESS (see file comment): the
- * handshake keeps running in the kernel, so the caller polls for
- * completion exactly as it would for a non-blocking connect.
+ * connect(2) with TCP_NODELAY set first and EINTR mapped to
+ * EINPROGRESS (see file comment): the handshake keeps running in the
+ * kernel, so the caller polls for completion exactly as it would for
+ * a non-blocking connect. A socket that refuses the option fails
+ * like a connect (-1, setsockopt's errno).
  */
 inline int
 connectRetry(int fd, const sockaddr *addr, socklen_t len)
 {
+    if (setNoDelay(fd) != 0)
+        return -1;
     const int r = connect(fd, addr, len);
     if (r < 0 && errno == EINTR)
         errno = EINPROGRESS;

@@ -101,11 +101,15 @@ ReplicatedStore::get(const std::string &key, RunResult &out)
         return false;
 
     const JsonValue req = fetchRequest(key);
+    // A miss counts only when some other holder was asked: a key's
+    // sole holder (k = 1, a standalone node) has no replica to miss.
+    bool asked = false;
 
     // Current-epoch siblings first: ordinary read-repair.
     for (std::size_t idx : curHolders) {
         if (idx == selfIdx)
             continue;
+        asked = true;
         if (fetchFrom(idx, req, key, out)) {
             ++repaired;
             return true;
@@ -119,12 +123,14 @@ ReplicatedStore::get(const std::string &key, RunResult &out)
             std::find(curHolders.begin(), curHolders.end(), idx) !=
                 curHolders.end())
             continue;
+        asked = true;
         if (fetchFrom(idx, req, key, out)) {
             ++handoffs;
             return true;
         }
     }
-    ++misses;
+    if (asked)
+        ++misses;
     return false;
 }
 

@@ -149,7 +149,8 @@ class ReplicatedStore : public exp::ResultStoreBase
         return repaired.load();
     }
 
-    /** Local misses no replica holder could serve either. */
+    /** Local misses where another holder was asked and none had the
+     *  record (a key's sole holder never counts one). */
     std::uint64_t replicaMisses() const DCG_ANY_THREAD
     {
         return misses.load();

@@ -923,8 +923,10 @@ Server::handleSubmit(OpCall &c)
         jobs.emplace(id, std::move(rec));
         ids.push(JsonValue::integer(id));
         ++jobsSubmitted;
-        if (a.cached)
+        if (a.cached) {
+            retireJob(id);
             continue;
+        }
         if (a.remote) {
             // The job leaves on the owner's multiplexed link right
             // now; its failover walk is a continuation chain stepped
@@ -1813,6 +1815,17 @@ Server::finishJob(std::uint64_t id, JobRec &rec, Event &ev)
                              ? failedResponse(id, rec)
                              : doneResponse(id, rec));
     rec.waiters.clear();
+    retireJob(id);
+}
+
+void
+Server::retireJob(std::uint64_t id)
+{
+    retired.push_back(id);
+    while (retired.size() > kRetainedJobs) {
+        jobs.erase(retired.front());
+        retired.pop_front();
+    }
 }
 
 JsonValue
@@ -1834,6 +1847,8 @@ Server::statsJson() const
     s.set("connections",
           JsonValue::integer(std::uint64_t{conns.size()}));
     s.set("jobs_submitted", JsonValue::integer(jobsSubmitted));
+    s.set("jobs_retained",
+          JsonValue::integer(std::uint64_t{jobs.size()}));
     s.set("jobs_completed", JsonValue::integer(jobsCompleted));
     s.set("jobs_forwarded", JsonValue::integer(jobsForwarded));
     s.set("forward_failures", JsonValue::integer(forwardFailures));

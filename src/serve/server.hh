@@ -59,6 +59,12 @@
  * LRU bounds on the persistent store and the in-memory cache, and the
  * store is compacted once at startup and on {"op":"compact"}.
  *
+ * Job records: every submitted job gets an id and a JobRec. Queued
+ * and Running records are bounded by admission (queueCapacity plus
+ * one per worker); a completed one stays answerable by "status" and
+ * "result" until kRetainedJobs later completions push it out, so a
+ * node's memory does not grow with the jobs it has ever answered.
+ *
  * Elastic membership: the cluster's member list is a
  * *versioned ring epoch* — a monotonically increasing epoch id plus
  * the member list it was agreed for (EpochView). The admin verbs
@@ -96,6 +102,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -123,6 +130,12 @@ namespace dcg::serve {
  *  and doubling as the static-archive anchor. Defined in server.cc —
  *  the handlers need private Server access. */
 void registerServerOps();
+
+/** Completed (Done or Failed) job records a node keeps answerable by
+ *  id; the oldest beyond this many are erased and their ids answer
+ *  unknown_id. Queued and Running records are never erased: admission
+ *  bounds them. */
+constexpr std::size_t kRetainedJobs = 1024;
 
 struct ServerConfig
 {
@@ -364,6 +377,9 @@ class Server
                              const JobRec &rec) const;
     void drainEvents();
     void finishJob(std::uint64_t id, JobRec &rec, Event &ev);
+    /** Queue the just-completed record @p id (no waiters left) for
+     *  expiry, erasing the oldest beyond kRetainedJobs. */
+    void retireJob(std::uint64_t id);
     bool idle();
     void stepForward(const std::shared_ptr<Forward> &fwd);
     void forwardReply(const std::shared_ptr<Forward> &fwd,
@@ -425,6 +441,8 @@ class Server
 
     std::uint64_t nextJobId = 1;
     std::map<std::uint64_t, JobRec> jobs;  ///< I/O thread only
+    /** Completed ids, oldest first (see retireJob). I/O thread only. */
+    std::deque<std::uint64_t> retired;
 
     mutable std::mutex qMutex;
     std::condition_variable qCv;

@@ -13,6 +13,7 @@
 #include <cstring>
 
 #include "common/log.hh"
+#include "serve/netio.hh"
 
 namespace dcg::serve::testing {
 
@@ -33,7 +34,7 @@ dialTarget(const Endpoint &ep)
         fd = socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol);
         if (fd < 0)
             continue;
-        if (connect(fd, ai->ai_addr, ai->ai_addrlen) == 0)
+        if (net::connectRetry(fd, ai->ai_addr, ai->ai_addrlen) == 0)
             break;
         close(fd);
         fd = -1;
@@ -138,7 +139,7 @@ FaultProxy::acceptLoop()
         const int pr = poll(&pfd, 1, 100);
         if (pr <= 0)
             continue;
-        const int cfd = accept(listenFd, nullptr, nullptr);
+        const int cfd = net::acceptRetry(listenFd);
         if (cfd < 0)
             continue;
         accepted.fetch_add(1);

@@ -20,6 +20,9 @@
  * The mode is sampled when a connection is accepted and can be changed
  * at any time, so a test can break a link mid-run and heal it again.
  * severActive() additionally cuts every currently-relaying connection.
+ * Both legs of a relay are opened through the net:: wrappers, so they
+ * set TCP_NODELAY like the serve sockets and a transparent hop adds no
+ * Nagle stall.
  *
  * The point of a *proxy* (rather than just killing servers): cluster
  * ring identity is a "host:port" string that configureCluster() and

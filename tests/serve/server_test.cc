@@ -2,8 +2,9 @@
  * End-to-end tests for dcgserved's Server + ClusterClient: remote
  * execution bit-identical to a local Engine, the stats surface,
  * backpressure on a full queue, bad-request tolerance (hostile nesting
- * included), the one-version envelope, warm resubmission, and the
- * cold-restart-from-store acceptance path (0 simulations).
+ * included), the one-version envelope, warm resubmission, the
+ * cold-restart-from-store acceptance path (0 simulations), and the
+ * bound on completed job records.
  */
 
 #include <gtest/gtest.h>
@@ -361,4 +362,118 @@ TEST(Server, OneEnvelopeVersion)
     JsonValue cur = statsRequest();
     stampVersion(cur, kProtocolVersion);
     EXPECT_TRUE(exchange(conn, cur).get("ok").asBool(false));
+}
+
+TEST(Server, StandaloneStoreNodeCountsNoReplicaMisses)
+{
+    // A standalone node with a store is its keys' only holder: its
+    // cold miss asks no replica, so it is no replica miss.
+    const std::string dir = freshDir("solemiss");
+    {
+        ServerConfig cfg;
+        cfg.storeDir = dir;
+        ServerFixture fx(cfg);
+        ClusterClient client({fx.endpoint()});
+        JobSpec s;
+        s.insts = kInsts;
+        s.warmup = kWarmup;
+        ASSERT_EQ(client.runJobs({s}).size(), 1u);
+        const JsonValue stats = client.stats();
+        EXPECT_EQ(stats.get("simulations").asU64(), 1u);
+        EXPECT_EQ(stats.get("replica_misses").asU64(99), 0u);
+    }
+    std::filesystem::remove_all(dir);
+}
+
+TEST(Server, CompletedJobRecordsAreBounded)
+{
+    ServerConfig cfg;
+    cfg.workers = 1;
+    ServerFixture fx(cfg);
+    Connection conn;
+    std::string err;
+    ASSERT_TRUE(conn.open(fx.endpoint(), err)) << err;
+
+    JobSpec tiny;
+    tiny.insts = kInsts;
+    tiny.warmup = kWarmup;
+    auto submit = [](const JobSpec &s, std::size_t copies, bool wait) {
+        JsonValue req = JsonValue::object();
+        req.set("op", JsonValue::string("submit"));
+        if (copies == 1) {
+            req.set("job", s.toJson());
+        } else {
+            JsonValue arr = JsonValue::array();
+            for (std::size_t i = 0; i < copies; ++i)
+                arr.push(s.toJson());
+            req.set("jobs", std::move(arr));
+        }
+        if (wait)
+            req.set("wait", JsonValue::boolean(true));
+        return req;
+    };
+    auto resultReq = [](std::uint64_t id, bool wait) {
+        JsonValue req = JsonValue::object();
+        req.set("op", JsonValue::string("result"));
+        req.set("id", JsonValue::integer(id));
+        if (wait)
+            req.set("wait", JsonValue::boolean(true));
+        return req;
+    };
+
+    // Warm the tiny spec: every later copy is a cached completion.
+    const JsonValue warm = exchange(conn, submit(tiny, 1, true));
+    ASSERT_EQ(warm.get("status").asString(), "done") << warm.dump();
+    const std::string tinyResult = warm.get("result").dump();
+
+    // A long job on the one worker, with a result+wait parked on it
+    // from a second connection while the completions stream past.
+    JobSpec slow = tiny;
+    slow.insts = 400000;
+    const std::uint64_t slowId =
+        exchange(conn, submit(slow, 1, false)).get("id").asU64(0);
+    ASSERT_NE(slowId, 0u);
+    JsonValue parkedResp;
+    std::thread parked([&] {
+        Connection waiter;
+        std::string werr;
+        ASSERT_TRUE(waiter.open(fx.endpoint(), werr)) << werr;
+        ASSERT_TRUE(waiter.roundTrip(resultReq(slowId, true),
+                                     parkedResp, werr))
+            << werr;
+    });
+
+    // kRetainedJobs + 200 completions, async batches and submit+wait
+    // singles interleaved; every copy gets its own id.
+    constexpr std::size_t kBatch = 100;
+    std::size_t submitted = 0;
+    std::uint64_t firstAsync = 0, lastAsync = 0;
+    while (submitted < kRetainedJobs + 200) {
+        const JsonValue batch = exchange(conn, submit(tiny, kBatch, false));
+        ASSERT_TRUE(batch.get("ok").asBool(false)) << batch.dump();
+        const auto &ids = batch.get("ids").items();
+        ASSERT_EQ(ids.size(), kBatch);
+        if (!firstAsync)
+            firstAsync = ids.front().asU64(0);
+        lastAsync = ids.back().asU64(0);
+        const JsonValue one = exchange(conn, submit(tiny, 1, true));
+        ASSERT_EQ(one.get("status").asString(), "done") << one.dump();
+        submitted += kBatch + 1;
+    }
+
+    parked.join();
+    EXPECT_EQ(parkedResp.get("status").asString(), "done")
+        << parkedResp.dump();
+    EXPECT_EQ(parkedResp.get("id").asU64(0), slowId);
+
+    const JsonValue stats = exchange(conn, statsRequest()).get("stats");
+    EXPECT_LE(stats.get("jobs_retained").asU64(~0ull), kRetainedJobs);
+    EXPECT_EQ(stats.get("jobs_submitted").asU64(), submitted + 2);
+
+    const JsonValue expired = exchange(conn, resultReq(firstAsync, false));
+    EXPECT_EQ(expired.get("error").asString(), "unknown_id")
+        << expired.dump();
+    const JsonValue last = exchange(conn, resultReq(lastAsync, false));
+    EXPECT_EQ(last.get("status").asString(), "done") << last.dump();
+    EXPECT_EQ(last.get("result").dump(), tinyResult);
 }
